@@ -25,10 +25,12 @@
 #                    sample Chrome trace (trace-demo.json) + stage report
 #   make log-verify  seglog smoke: record a log, verify its hash chain
 #                    and anchor, flip one bit, assert detection
+#   make perf        host-time benchmark (perfbench): the four workloads
+#                    of BENCHMARK.json, each gated on its virtual outputs
 
 GO ?= go
 
-.PHONY: all verify vet lint build test race bench bench-pipeline bench-faults bench-commuter results lab fleet profile trace-demo log-verify clean
+.PHONY: all verify vet lint build test race bench bench-pipeline bench-faults bench-commuter results lab fleet profile trace-demo log-verify perf clean
 
 all: verify
 
@@ -57,10 +59,11 @@ test:
 # evaluation driver, the telemetry ring/registry, the span-instrumented
 # migration pipeline (including its fault-recovery retry paths), the
 # concurrent fault injector, the parallel image marshaller, and the
-# memoized sync trees, and the mutex-guarded chunk store are only correct
-# if they are race-clean.
+# memoized sync trees, the mutex-guarded chunk store, and the
+# process-wide tables every device shares (the /system trees and the
+# replay registry) are only correct if they are race-clean.
 race:
-	$(GO) test -race ./internal/record/ ./internal/experiments/ ./internal/binder/ ./internal/obs/ ./internal/migration/ ./internal/cria/ ./internal/netsim/ ./internal/rsyncx/ ./internal/faults/ ./internal/chunkstore/ ./internal/lab/ ./internal/fleet/ ./internal/seglog/
+	$(GO) test -race ./internal/record/ ./internal/experiments/ ./internal/binder/ ./internal/obs/ ./internal/migration/ ./internal/cria/ ./internal/netsim/ ./internal/rsyncx/ ./internal/faults/ ./internal/chunkstore/ ./internal/lab/ ./internal/fleet/ ./internal/seglog/ ./internal/device/ ./internal/pairing/ ./internal/replay/
 
 bench:
 	$(GO) test -bench=. -benchmem ./internal/record/
@@ -134,6 +137,20 @@ log-verify:
 	$(GO) run ./cmd/fluxtrace -verify /tmp/flux-log-verify.flxg
 	$(GO) run ./cmd/fluxtrace -tamper /tmp/flux-log-verify.flxg
 	! $(GO) run ./cmd/fluxtrace -verify /tmp/flux-log-verify.flxg
+
+# The host-time benchmark declared in BENCHMARK.json, one workload after
+# another at perfbench's default window. Each run prints its end-to-end
+# metrics; the target fails if a run reports "correct":false, meaning some
+# op's virtual outputs diverged from perfbench/refs.json. See
+# perfbench/README.md for the flags (--seed, --seconds, --trace).
+PERF_WORKLOADS = matrix commuter fleet appexec
+perf:
+	@mkdir -p .bench_build
+	@for w in $(PERF_WORKLOADS); do \
+		bash perfbench/run.sh --workload $$w > .bench_build/perf-$$w.txt || exit 1; \
+		cat .bench_build/perf-$$w.txt; \
+		tail -n 1 .bench_build/perf-$$w.txt | grep -q '"correct":true' || { echo "perf: $$w: virtual outputs diverged"; exit 1; }; \
+	done
 
 clean:
 	rm -f BENCH_results.json BENCH_commuter.json trace-demo.json *.pprof

@@ -149,6 +149,10 @@ type RecordSpec struct {
 	ProxyPos Pos
 }
 
+// DropsSelf reports whether the drop list contains "this", meaning a
+// signature match also suppresses recording of the triggering call.
+func (r *RecordSpec) DropsSelf() bool { return dropsSelf(r.DropMethods) }
+
 // DropMethodPos returns the source position of DropMethods[i], or the
 // @record position when per-target positions are unavailable.
 func (r *RecordSpec) DropMethodPos(i int) Pos {

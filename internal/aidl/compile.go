@@ -20,8 +20,10 @@ type Rule struct {
 
 // DropsSelf reports whether the rule's drop list contains "this", meaning a
 // signature match also suppresses recording of the triggering call.
-func (r Rule) DropsSelf() bool {
-	for _, m := range r.DropMethods {
+func (r Rule) DropsSelf() bool { return dropsSelf(r.DropMethods) }
+
+func dropsSelf(dropMethods []string) bool {
+	for _, m := range dropMethods {
 		if m == "this" {
 			return true
 		}

@@ -346,6 +346,27 @@ func TestServiceManagerNameOf(t *testing.T) {
 	}
 }
 
+// TestServiceManagerNameOfAliases: a node registered under several names
+// resolves to the smallest one, independent of map order.
+func TestServiceManagerNameOfAliases(t *testing.T) {
+	d := NewDriver()
+	sys := mustOpen(t, d, 1, "system_server")
+	node, err := AddService(sys, "sensorservice", "ISensorServer", &echoService{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, alias := range []string{"zsensor", "asensor", "msensor"} {
+		if err := d.ServiceManager().Register(alias, node); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		if got := d.ServiceManager().NameOf(node); got != "asensor" {
+			t.Fatalf("NameOf = %q, want the smallest alias %q", got, "asensor")
+		}
+	}
+}
+
 func TestListServicesViaTransaction(t *testing.T) {
 	d := NewDriver()
 	sys := mustOpen(t, d, 1, "system_server")

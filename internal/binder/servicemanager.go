@@ -65,17 +65,20 @@ func (sm *ServiceManager) Lookup(name string) *Node {
 }
 
 // NameOf returns the registration name of node, or "" if it is not a
-// registered system service. CRIA uses this to classify a handle as a
-// system-service reference and to record the name for guest-side rebinding.
+// registered system service. A node registered under several names
+// resolves to the smallest, so the answer never depends on map order.
+// CRIA uses this to classify a handle as a system-service reference and to
+// record the name for guest-side rebinding.
 func (sm *ServiceManager) NameOf(node *Node) string {
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
+	found := ""
 	for name, n := range sm.names {
-		if n == node {
-			return name
+		if n == node && (found == "" || name < found) {
+			found = name
 		}
 	}
-	return ""
+	return found
 }
 
 // Names returns all registered service names, sorted.

@@ -255,7 +255,10 @@ func Checkpoint(app *android.App, opts Options) (*Image, error) {
 		case appPIDs[he.OwnerPID]:
 			rec.Kind = HandleInternal
 		default:
-			name := nameOf(opts.ServiceManager, he)
+			name := ""
+			if node, err := main.Binder().Node(he.Handle); err == nil {
+				name = opts.ServiceManager.NameOf(node)
+			}
 			switch {
 			case name != "":
 				rec.Kind = HandleSystemService
@@ -272,16 +275,6 @@ func Checkpoint(app *android.App, opts Options) (*Image, error) {
 	}
 	handleSec.Attr(obs.Int64("handles", int64(len(img.Handles)))).End()
 	return img, nil
-}
-
-// nameOf resolves a handle entry's node to its ServiceManager name.
-func nameOf(sm *binder.ServiceManager, he binder.HandleEntry) string {
-	for _, name := range sm.Names() {
-		if node := sm.Lookup(name); node != nil && node.ID() == he.Node {
-			return name
-		}
-	}
-	return ""
 }
 
 // PayloadBytes is the raw size of checkpointed memory.

@@ -145,7 +145,7 @@ func New(p Profile) (*Device, error) {
 		Runtime:    rt,
 		System:     sys,
 		Recorder:   rec,
-		systemTree: systemPartition(p),
+		systemTree: sharedSystemPartition(p),
 		fluxDir:    make(map[string]*rsyncx.Tree),
 		installs:   make(map[string]*Install),
 		paired:     make(map[string]bool),
@@ -164,6 +164,8 @@ func (d *Device) Profile() Profile { return d.profile }
 func (d *Device) Name() string { return d.profile.Name }
 
 // SystemTree returns the device's system partition (frameworks + libs).
+// The tree is shared read-only by every device with the same model,
+// Android version, SoC and GPU vendor files: callers must not mutate it.
 func (d *Device) SystemTree() *rsyncx.Tree { return d.systemTree }
 
 // FluxDir returns the synced copy of homeDevice's frameworks on this
@@ -244,6 +246,33 @@ func hashContent(parts ...string) uint64 {
 		h.Write([]byte{0})
 	}
 	return h.Sum64()
+}
+
+// partitionKey is every Profile field systemPartition reads.
+type partitionKey struct {
+	model, androidVersion, soc, gpuLib, gpuBlob string
+}
+
+// partitions memoizes systemPartition: the /system tree is a pure function
+// of its partitionKey, and nothing mutates it after boot, so devices of
+// one model share a single tree (and its memoized sorted Files view).
+var partitions = struct {
+	mu    sync.Mutex
+	trees map[partitionKey]*rsyncx.Tree
+}{trees: make(map[partitionKey]*rsyncx.Tree)}
+
+// sharedSystemPartition returns the system tree for p's partitionKey,
+// building it on first use.
+func sharedSystemPartition(p Profile) *rsyncx.Tree {
+	key := partitionKey{p.Model, p.AndroidVersion, p.SoC, p.GPU.VendorLib, p.GPU.VendorBlob}
+	partitions.mu.Lock()
+	defer partitions.mu.Unlock()
+	if t, ok := partitions.trees[key]; ok {
+		return t
+	}
+	t := systemPartition(p)
+	partitions.trees[key] = t
+	return t
 }
 
 // systemPartition synthesizes a device's /system tree: ~215 MB of core

@@ -247,14 +247,15 @@ func decodeEntry(data []byte) (*Entry, int, error) {
 	return e, off, nil
 }
 
-// registeredInterface couples an interface with its compiled rules. The
-// itf, service, and rules fields are immutable after registration; full
-// is guarded by the Recorder's mutex.
+// registeredInterface couples an interface with its ServiceManager name.
+// The itf and service fields are immutable after registration; full is
+// guarded by the Recorder's mutex. The record rules are read straight off
+// each method's own decoration (aidl.Method.Record), so registration
+// copies nothing.
 type registeredInterface struct {
 	itf     *aidl.Interface
 	service string
-	rules   map[string]aidl.Rule // by method name
-	full    bool                 // record every method (ablation mode)
+	full    bool // record every method (ablation mode)
 }
 
 // Recorder implements Selective Record. Install it on a device's Binder
@@ -316,11 +317,7 @@ func (r *Recorder) SetPackageResolver(fn func(pid int) (string, bool)) {
 func (r *Recorder) RegisterInterface(serviceName string, itf *aidl.Interface) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	reg := &registeredInterface{itf: itf, service: serviceName, rules: make(map[string]aidl.Rule)}
-	for _, rule := range aidl.Rules(itf) {
-		reg.rules[rule.Method] = rule
-	}
-	r.interfaces[itf.Name] = reg
+	r.interfaces[itf.Name] = &registeredInterface{itf: itf, service: serviceName}
 }
 
 // SetFullRecord switches an interface to full (undecorated) recording,
@@ -412,11 +409,10 @@ func (r *Recorder) ObserveTransaction(callingPID int, node *binder.Node, call *b
 		r.append(app, reg, m, call)
 		return
 	}
-	rule, decorated := reg.rules[m.Name]
-	if !decorated {
+	if m.Record == nil {
 		return
 	}
-	suppress := r.applyDrops(app, reg, m, rule, call)
+	suppress := r.applyDrops(app, reg, m, call)
 	if suppress {
 		r.dropped.Add(1)
 		if telemetry {
@@ -427,17 +423,18 @@ func (r *Recorder) ObserveTransaction(callingPID int, node *binder.Node, call *b
 	r.append(app, reg, m, call)
 }
 
-// applyDrops evaluates the rule's drop clauses against the log and reports
-// whether the triggering call itself should be suppressed. It visits only
-// the index buckets of the rule's drop-target methods and compares cached
-// argument strings, never re-parsing a recorded parcel.
-func (r *Recorder) applyDrops(app string, reg *registeredInterface, m *aidl.Method, rule aidl.Rule, call *binder.Call) bool {
-	if len(rule.DropMethods) == 0 {
+// applyDrops evaluates the decorated method's drop clauses against the log
+// and reports whether the triggering call itself should be suppressed. It
+// visits only the index buckets of the drop-target methods and compares
+// cached argument strings, never re-parsing a recorded parcel.
+func (r *Recorder) applyDrops(app string, reg *registeredInterface, m *aidl.Method, call *binder.Call) bool {
+	spec := m.Record
+	if len(spec.DropMethods) == 0 {
 		return false
 	}
-	seen := make(map[string]bool, len(rule.DropMethods))
-	targets := make([]string, 0, len(rule.DropMethods))
-	for _, name := range rule.DropMethods {
+	seen := make(map[string]bool, len(spec.DropMethods))
+	targets := make([]string, 0, len(spec.DropMethods))
+	for _, name := range spec.DropMethods {
 		if name == "this" {
 			name = m.Name
 		}
@@ -448,8 +445,8 @@ func (r *Recorder) applyDrops(app string, reg *registeredInterface, m *aidl.Meth
 	}
 	// Precompute the triggering call's signature values from its live
 	// parcel.
-	sigVals := make([]map[string]string, len(rule.Signatures))
-	for i, sig := range rule.Signatures {
+	sigVals := make([]map[string]string, len(spec.Signatures))
+	for i, sig := range spec.Signatures {
 		vals := make(map[string]string, len(sig))
 		for _, arg := range sig {
 			v, err := aidl.ArgString(m, call.Data, arg)
@@ -466,14 +463,14 @@ func (r *Recorder) applyDrops(app string, reg *registeredInterface, m *aidl.Meth
 		if em == nil {
 			return false
 		}
-		if len(rule.Signatures) == 0 {
+		if len(spec.Signatures) == 0 {
 			if e.Method != m.Name {
 				droppedOther = true
 			}
 			return true
 		}
 		vals := e.argValues(em)
-		for i, sig := range rule.Signatures {
+		for i, sig := range spec.Signatures {
 			match := true
 			for _, arg := range sig {
 				if ev, ok := vals[arg]; !ok || ev != sigVals[i][arg] {
@@ -493,7 +490,7 @@ func (r *Recorder) applyDrops(app string, reg *registeredInterface, m *aidl.Meth
 	if removed > 0 && obs.Enabled() {
 		obs.M().Counter(MetricPruned, "service", reg.service).Add(uint64(removed))
 	}
-	return rule.DropsSelf() && droppedOther
+	return spec.DropsSelf() && droppedOther
 }
 
 func (r *Recorder) append(app string, reg *registeredInterface, m *aidl.Method, call *binder.Call) {

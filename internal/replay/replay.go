@@ -106,21 +106,19 @@ func (s Stats) Total() int {
 // (skipped=true) counts the entry as time-filtered.
 type Proxy func(ctx *Context, e *record.Entry, m *aidl.Method) (skipped bool, err error)
 
-// Engine replays record logs. It is safe to reuse across migrations.
+// Engine replays record logs. Its interface and proxy tables are built
+// once per process and never mutated, so an Engine is free to construct
+// and safe to share across migrations and goroutines.
 type Engine struct {
-	interfaces map[string]*aidl.Interface
-	rules      map[string]map[string]aidl.Rule // descriptor → method → rule
-	proxies    map[string]Proxy
+	interfaces map[string]*aidl.Interface // by descriptor
+	proxies    map[string]Proxy           // by @replayproxy path
 }
 
-// NewEngine builds an engine aware of every decorated interface the
-// services package defines, with the standard Flux proxies registered.
-func NewEngine() *Engine {
-	e := &Engine{
-		interfaces: make(map[string]*aidl.Interface),
-		rules:      make(map[string]map[string]aidl.Rule),
-		proxies:    make(map[string]Proxy),
-	}
+// stdInterfaces holds every decorated interface the services package
+// defines. Each method's replay proxy is read off its own decoration
+// (aidl.Method.Record), so no per-engine rule table is compiled.
+var stdInterfaces = func() map[string]*aidl.Interface {
+	out := make(map[string]*aidl.Interface)
 	for _, itf := range []*aidl.Interface{
 		services.NotificationInterface,
 		services.AlarmInterface,
@@ -146,27 +144,25 @@ func NewEngine() *Engine {
 		services.SerialInterface,
 		services.UsbInterface,
 	} {
-		e.RegisterInterface(itf)
+		out[itf.Name] = itf
 	}
-	e.RegisterProxy("flux.recordreplay.Proxies.alarmMgrSet", AlarmMgrSet)
-	e.RegisterProxy("flux.recordreplay.Proxies.audioSetStreamVolume", AudioSetStreamVolume)
-	e.RegisterProxy("flux.recordreplay.Proxies.sensorCreateConnection", SensorCreateConnection)
-	e.RegisterProxy("flux.recordreplay.Proxies.sensorGetChannel", SensorGetChannel)
-	return e
+	return out
+}()
+
+// stdProxies is the standard Flux proxy registry, keyed by @replayproxy
+// path.
+var stdProxies = map[string]Proxy{
+	"flux.recordreplay.Proxies.alarmMgrSet":            AlarmMgrSet,
+	"flux.recordreplay.Proxies.audioSetStreamVolume":   AudioSetStreamVolume,
+	"flux.recordreplay.Proxies.sensorCreateConnection": SensorCreateConnection,
+	"flux.recordreplay.Proxies.sensorGetChannel":       SensorGetChannel,
 }
 
-// RegisterInterface makes the engine aware of a decorated interface.
-func (e *Engine) RegisterInterface(itf *aidl.Interface) {
-	e.interfaces[itf.Name] = itf
-	rules := make(map[string]aidl.Rule)
-	for _, r := range aidl.Rules(itf) {
-		rules[r.Method] = r
-	}
-	e.rules[itf.Name] = rules
+// NewEngine returns an engine aware of every decorated interface the
+// services package defines, with the standard Flux proxies registered.
+func NewEngine() *Engine {
+	return &Engine{interfaces: stdInterfaces, proxies: stdProxies}
 }
-
-// RegisterProxy installs a proxy under its @replayproxy path.
-func (e *Engine) RegisterProxy(path string, p Proxy) { e.proxies[path] = p }
 
 // replyDependentProxies names the standard proxies that reconstruct state
 // from the recorded *reply* parcel (the sensor proxies re-inject the
@@ -248,24 +244,24 @@ func (e *Engine) Replay(ctx *Context, entries []*record.Entry) (Stats, error) {
 			}
 			continue
 		}
-		rule := e.rules[entry.Interface][entry.Method]
-		if rule.ReplayProxy != "" {
-			proxy, ok := e.proxies[rule.ReplayProxy]
+		if m.Record != nil && m.Record.ReplayProxy != "" {
+			path := m.Record.ReplayProxy
+			proxy, ok := e.proxies[path]
 			if !ok {
-				return stats, fmt.Errorf("replay: no proxy registered for %s", rule.ReplayProxy)
+				return stats, fmt.Errorf("replay: no proxy registered for %s", path)
 			}
 			psp := sp.Child("replay.proxy",
-				obs.String("proxy", rule.ReplayProxy),
+				obs.String("proxy", path),
 				obs.String("method", entry.Method),
 				obs.Int64("seq", int64(entry.Seq)),
 			)
 			skipped, err := proxy(ctx, entry, m)
 			if telemetry {
-				obs.M().Counter(MetricProxyCalls, "proxy", rule.ReplayProxy).Inc()
+				obs.M().Counter(MetricProxyCalls, "proxy", path).Inc()
 			}
 			if err != nil {
 				psp.Attr(obs.String("error", err.Error())).End()
-				return stats, fmt.Errorf("replay: proxy %s on entry %d: %w", rule.ReplayProxy, entry.Seq, err)
+				return stats, fmt.Errorf("replay: proxy %s on entry %d: %w", path, entry.Seq, err)
 			}
 			psp.Attr(obs.Bool("skipped", skipped)).End()
 			if skipped {

@@ -199,3 +199,16 @@ func TestReplayStatsTotal(t *testing.T) {
 		t.Errorf("Total = %d", s.Total())
 	}
 }
+
+// TestNewEngineAllocBudget: the interface and proxy tables are built once
+// per process, so a migrator's engine costs at most its own header.
+func TestNewEngineAllocBudget(t *testing.T) {
+	var eng *replay.Engine
+	allocs := testing.AllocsPerRun(100, func() { eng = replay.NewEngine() })
+	if allocs > 1 {
+		t.Fatalf("replay.NewEngine allocated %.0f objects, want at most 1", allocs)
+	}
+	if len(eng.ProxyPaths()) != 4 {
+		t.Errorf("engine registers %d proxies, want the 4 standard ones", len(eng.ProxyPaths()))
+	}
+}

@@ -84,7 +84,7 @@ type System struct {
 
 	mu      sync.Mutex
 	staters map[string]AppStater
-	catalog []Registration
+	catalog []registration
 	itfs    map[string]*aidl.Interface // by descriptor, for telemetry method names
 	pkgOfFn func(pid int) (string, bool)
 }
@@ -102,6 +102,14 @@ type Registration struct {
 	PaperLOC        int
 	MeasuredMethods int
 	MeasuredLOC     int
+}
+
+// registration is one Catalog row plus the decorated AIDL source its
+// MeasuredLOC is counted from. Catalog lexes the source on demand, so
+// booting a device never does.
+type registration struct {
+	Registration
+	src string
 }
 
 // Boot starts system_server and all 22 services.
@@ -214,14 +222,16 @@ func (s *System) register(name string, itf *aidl.Interface, src string, hardware
 		s.staters[name] = stater
 	}
 	s.itfs[itf.Name] = itf
-	s.catalog = append(s.catalog, Registration{
-		Name:            name,
-		Descriptor:      itf.Name,
-		Hardware:        hardware,
-		PaperMethods:    paperMethods,
-		PaperLOC:        paperLOC,
-		MeasuredMethods: len(itf.Methods),
-		MeasuredLOC:     aidl.DecorationLOC(src),
+	s.catalog = append(s.catalog, registration{
+		Registration: Registration{
+			Name:            name,
+			Descriptor:      itf.Name,
+			Hardware:        hardware,
+			PaperMethods:    paperMethods,
+			PaperLOC:        paperLOC,
+			MeasuredMethods: len(itf.Methods),
+		},
+		src: src,
 	})
 }
 
@@ -245,7 +255,11 @@ func (s *System) methodName(descriptor string, code uint32) (string, bool) {
 func (s *System) Catalog() []Registration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := append([]Registration(nil), s.catalog...)
+	out := make([]Registration, len(s.catalog))
+	for i, r := range s.catalog {
+		out[i] = r.Registration
+		out[i].MeasuredLOC = aidl.DecorationLOC(r.src)
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }

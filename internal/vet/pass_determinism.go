@@ -279,7 +279,7 @@ func taintCallsIn(u *unit, body ast.Node, aliases map[string]string) []taintCall
 		case *ast.Ident:
 			// Package-local function call.
 			if fn, ok := p.info.Uses[fun].(*types.Func); ok &&
-				fn.Pkg() != nil && fn.Pkg() == p.typesPkg && fn.Signature().Recv() == nil {
+				fn.Pkg() != nil && fn.Pkg() == p.typesPkg && fn.Type().(*types.Signature).Recv() == nil {
 				out = append(out, taintCall{pos: pos, local: fn.Name()})
 			}
 		case *ast.SelectorExpr:
@@ -350,7 +350,7 @@ func methodCall(p *sourcePkg, sel *ast.SelectorExpr, pos token.Position) (taintC
 	if !ok || fn.Pkg() == nil || fn.Pkg() != p.typesPkg {
 		return taintCall{}, false
 	}
-	recv := fn.Signature().Recv()
+	recv := fn.Type().(*types.Signature).Recv()
 	if recv == nil {
 		return taintCall{pos: pos, local: fn.Name()}, true
 	}

@@ -441,7 +441,7 @@ func resolveCallee(u *unit, call *ast.CallExpr) (local, extPkg, extFn string) {
 	switch fun := call.Fun.(type) {
 	case *ast.Ident:
 		if fn, ok := p.info.Uses[fun].(*types.Func); ok &&
-			fn.Pkg() != nil && fn.Pkg() == p.typesPkg && fn.Signature().Recv() == nil {
+			fn.Pkg() != nil && fn.Pkg() == p.typesPkg && fn.Type().(*types.Signature).Recv() == nil {
 			return fn.Name(), "", ""
 		}
 	case *ast.SelectorExpr:
