@@ -70,10 +70,10 @@ bench:
 	$(GO) test -bench=. -benchmem ./internal/obs/
 	$(GO) test -bench='BenchmarkMatrixWorkers' -benchmem .
 
-# The streaming-pipeline hot paths: parallel FXC1 marshal (run with
-# -cpu 1,4 on multi-core hosts to see the worker-pool scaling), memoized
-# WireBytes, chunk partitioning, streamed link scheduling, and the
-# rsyncx plan builder — then the streamed-vs-sequential matrix itself.
+# The streaming-pipeline hot paths: parallel FXC2 marshal (run with
+# -cpu 1,4 on multi-core hosts to see the worker-pool scaling), unmarshal,
+# memoized WireBytes, chunk partitioning, streamed link scheduling, and
+# the rsyncx plan builder — then the streamed-vs-sequential matrix itself.
 bench-pipeline:
 	$(GO) test -bench='BenchmarkImage' -benchmem ./internal/cria/
 	$(GO) test -bench=. -benchmem ./internal/netsim/

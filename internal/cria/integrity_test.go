@@ -152,7 +152,8 @@ func TestUnmarshalFXC1Legacy(t *testing.T) {
 // TestInflateTruncatedDoesNotPoisonPool is the regression fence for the
 // pooled-reader bug: a reader that fails mid-decode must be dropped, so
 // interleaved failing and succeeding decodes never observe a broken
-// reader from the pool.
+// reader from the pool. Every decode appends into one reused scratch
+// buffer, as Unmarshal does.
 func TestInflateTruncatedDoesNotPoisonPool(t *testing.T) {
 	raw := bytes.Repeat([]byte("integrity-pool-check-"), 512)
 	comp, err := deflate(raw)
@@ -160,26 +161,28 @@ func TestInflateTruncatedDoesNotPoisonPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	truncated := comp[:len(comp)/2]
+	var scratch []byte
 	for i := 0; i < 64; i++ {
-		if _, err := inflate(truncated); err == nil {
+		if _, err := inflate(scratch[:0], truncated); err == nil {
 			t.Fatal("truncated DEFLATE stream decoded cleanly")
 		}
-		got, err := inflate(comp)
+		got, err := inflate(scratch[:0], comp)
 		if err != nil {
 			t.Fatalf("iteration %d: valid stream failed after a truncated decode: %v", i, err)
 		}
 		if !bytes.Equal(got, raw) {
 			t.Fatalf("iteration %d: round trip corrupted", i)
 		}
+		scratch = got
 	}
 	// Garbage that fails at Reset/first-read must be equally harmless.
 	garbage := []byte{0xff, 0xff, 0x00, 0x01, 0x02}
 	for i := 0; i < 16; i++ {
-		if _, err := inflate(garbage); err == nil {
+		if _, err := inflate(nil, garbage); err == nil {
 			t.Fatal("garbage stream decoded cleanly")
 		}
 	}
-	if got, err := inflate(comp); err != nil || !bytes.Equal(got, raw) {
+	if got, err := inflate(nil, comp); err != nil || !bytes.Equal(got, raw) {
 		t.Fatalf("valid stream failed after garbage decodes: %v", err)
 	}
 }

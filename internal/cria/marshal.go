@@ -13,9 +13,16 @@ package cria
 //     bounded worker pool (GOMAXPROCS-wide), then reassembled in
 //     deterministic index order, so output bytes are identical at any
 //     parallelism.
-//   - flate writers/readers and scratch buffers are sync.Pool-backed: the
-//     steady-state Marshal path does not re-allocate the ~1 MB flate
-//     window per call (BenchmarkImageMarshal tracks allocs/op).
+//   - flate writers/readers are sync.Pool-backed: the steady-state Marshal
+//     path does not re-allocate the ~1 MB flate window per call
+//     (BenchmarkImageMarshal tracks allocs/op).
+//   - gob's per-stream type machinery is paid once per process, not once
+//     per stream (gobCodec). Each wire type — the core and a segment
+//     shard — keeps a bounded free list of encoders and decoders that
+//     have already seen its type descriptors; an encoder writes the
+//     captured descriptor prefix and then only the value message, so the
+//     bytes equal a fresh gob.NewEncoder stream's. Unmarshal inflates
+//     every block into one reused scratch buffer, which gob copies out of.
 //   - Marshal output is memoized on the Image; WireBytes — called on the
 //     migration hot path — reuses it instead of re-running gob+flate.
 //     Mutating an Image after a Marshal requires Invalidate().
@@ -46,6 +53,7 @@ import (
 	"hash/crc32"
 	"io"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -190,27 +198,213 @@ func deflate(raw []byte) ([]byte, error) {
 	return out, nil
 }
 
-// inflate decompresses one block with a pooled reader. Error paths drop
-// the reader instead of recycling it: after a failed Reset, ReadAll, or
+// inflate appends the decompression of one block to dst, reading with a
+// pooled flate reader, and returns the extended slice. Error paths drop
+// the reader instead of recycling it: after a failed Reset, Read, or
 // Close the decompressor's internal state is undefined, and returning it
 // to the pool would hand a broken reader to an unrelated future decode
 // (the bug this comment is the regression fence for — see
 // TestInflateTruncatedDoesNotPoisonPool).
-func inflate(comp []byte) ([]byte, error) {
+func inflate(dst, comp []byte) ([]byte, error) {
 	r := flateReaderPool.Get().(io.ReadCloser)
 	if err := r.(flate.Resetter).Reset(bytes.NewReader(comp), nil); err != nil {
 		return nil, err // drop r
 	}
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err // drop r
+	for {
+		if len(dst) == cap(dst) {
+			dst = slices.Grow(dst, 512)
+		}
+		n, err := r.Read(dst[len(dst):cap(dst)])
+		dst = dst[:len(dst)+n]
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err // drop r
+		}
 	}
 	if err := r.Close(); err != nil {
 		return nil, err // drop r
 	}
 	flateReaderPool.Put(r)
-	return raw, nil
+	return dst, nil
 }
+
+// freeList is a stack of reusable objects bounded at GOMAXPROCS, enough
+// for one per concurrent codec user. Unlike a sync.Pool it survives
+// garbage collection: the migration workloads collect every few dozen
+// images, and a pool emptied that often would re-prime gob streams on
+// almost every call.
+type freeList[T any] struct {
+	mu    sync.Mutex
+	items []T
+}
+
+func (l *freeList[T]) get() (item T, ok bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.items); n > 0 {
+		item, ok = l.items[n-1], true
+		var zero T
+		l.items[n-1] = zero
+		l.items = l.items[:n-1]
+	}
+	return item, ok
+}
+
+func (l *freeList[T]) put(item T) {
+	l.mu.Lock()
+	if len(l.items) < runtime.GOMAXPROCS(0) {
+		l.items = append(l.items, item)
+	}
+	l.mu.Unlock()
+}
+
+// gobCodec writes and reads one wire type T as self-contained gob
+// streams, byte-identical to gob.NewEncoder(w).Encode(v). A fresh
+// encoder writes T's type-descriptor messages and then the value
+// message; gobCodec captures that descriptor prefix once and recycles
+// encoders and decoders that have already seen it, so a stream costs
+// only its value message. Like the flate readers, an encoder or decoder
+// that returned an error is dropped, never recycled.
+type gobCodec[T any] struct {
+	primer func() gobPrimer
+	encs   freeList[*gobEncoder]
+	decs   freeList[*gobDecoder]
+}
+
+// gobPrimer is what a fresh encoder writes for T's zero value.
+type gobPrimer struct {
+	stream []byte // prefix, then the zero value's message: primes decoders
+	prefix []byte // the type-descriptor messages alone
+	id     []byte // T's gob type id as it opens every value message of T
+}
+
+type gobEncoder struct {
+	buf bytes.Buffer
+	enc *gob.Encoder
+}
+
+type gobDecoder struct {
+	r   bytes.Reader
+	dec *gob.Decoder
+}
+
+// newGobCodec primes lazily, on first use: binaries that never touch an
+// image pay nothing, and gob assigns its process-global type ids in the
+// order the wire types are first used (core before shard).
+func newGobCodec[T any]() *gobCodec[T] {
+	return &gobCodec[T]{primer: sync.OnceValue(func() gobPrimer {
+		var buf bytes.Buffer
+		enc := gob.NewEncoder(&buf)
+		var zero T
+		if err := enc.Encode(&zero); err != nil {
+			panic(fmt.Sprintf("cria: priming gob for %T: %v", zero, err)) // the wire types are static
+		}
+		stream := bytes.Clone(buf.Bytes())
+		buf.Reset()
+		if err := enc.Encode(&zero); err != nil {
+			panic(fmt.Sprintf("cria: priming gob for %T: %v", zero, err))
+		}
+		value := buf.Bytes()
+		if !bytes.HasSuffix(stream, value) {
+			panic(fmt.Sprintf("cria: gob stream for %T does not end in its value message", zero))
+		}
+		n := gobUintLen(value)
+		return gobPrimer{
+			stream: stream,
+			prefix: stream[:len(stream)-len(value)],
+			id:     bytes.Clone(value[n : n+gobUintLen(value[n:])]),
+		}
+	})}
+}
+
+// encode writes v's full stream into a primed encoder's buffer. Put the
+// encoder back on c.encs once its buffer is no longer referenced.
+func (c *gobCodec[T]) encode(v *T) (*gobEncoder, error) {
+	p := c.primer()
+	e, ok := c.encs.get()
+	if !ok {
+		e = new(gobEncoder)
+		e.enc = gob.NewEncoder(&e.buf)
+		if err := e.enc.Encode(new(T)); err != nil {
+			return nil, err
+		}
+	}
+	e.buf.Reset()
+	e.buf.Write(p.prefix)
+	if err := e.enc.Encode(v); err != nil {
+		return nil, err // drop e: its sent-type state is unknown
+	}
+	return e, nil
+}
+
+// decode reads one stream into v. A stream that opens with exactly the
+// captured prefix and then a value message of T goes to a primed
+// decoder. Anything else — including a stream written by another
+// process, whose type ids may differ because gob assigns them per
+// process — goes to a fresh decoder, so both paths decode alike.
+func (c *gobCodec[T]) decode(raw []byte, v *T) error {
+	p := c.primer()
+	rest, ok := p.valueAfterPrefix(raw)
+	if !ok {
+		return gob.NewDecoder(bytes.NewReader(raw)).Decode(v)
+	}
+	d, ok := c.decs.get()
+	if !ok {
+		d = new(gobDecoder)
+		d.dec = gob.NewDecoder(&d.r)
+		d.r.Reset(p.stream)
+		if err := d.dec.Decode(new(T)); err != nil {
+			return err
+		}
+	}
+	d.r.Reset(rest)
+	err := d.dec.Decode(v)
+	d.r.Reset(nil)
+	if err != nil {
+		return err // drop d: its decoder state is unknown
+	}
+	c.decs.put(d)
+	return nil
+}
+
+// valueAfterPrefix returns what follows the descriptor prefix when raw
+// opens with exactly that prefix and then a value message of T: a message
+// length, then T's type id. Only such a remainder leaves a primed
+// decoder's state as it found it, since only type-definition messages
+// add to a gob decoder's type table.
+func (p gobPrimer) valueAfterPrefix(raw []byte) ([]byte, bool) {
+	rest, ok := bytes.CutPrefix(raw, p.prefix)
+	n := gobUintLen(rest)
+	return rest, ok && n > 0 && bytes.HasPrefix(rest[n:], p.id)
+}
+
+// gobUintLen is the byte length of the gob-encoded unsigned integer that
+// opens b (a message length, or a type id), or 0 if b does not open
+// with one. gob writes values below 128 as one byte, larger ones as a
+// negated byte count followed by that many big-endian bytes.
+func gobUintLen(b []byte) int {
+	if len(b) == 0 {
+		return 0
+	}
+	if b[0] < 0x80 {
+		return 1
+	}
+	n := 1 - int(int8(b[0]))
+	if n > 9 || n > len(b) {
+		return 0
+	}
+	return n
+}
+
+var (
+	coreCodec  = newGobCodec[imageCore]()
+	shardCodec = newGobCodec[[]kernel.MemSegment]()
+	// scratchBufs holds Unmarshal's inflate buffers. gob copies every
+	// byte slice and string out of them, so no decoded image aliases one.
+	scratchBufs freeList[[]byte]
+)
 
 // Marshal serializes the image metadata and compresses it, memoizing the
 // result on the Image (Migrate computes WireBytes and then re-serializes
@@ -265,13 +459,12 @@ func (img *Image) marshalLocked() ([]byte, error) {
 		HomeVolumeSteps: img.HomeVolumeSteps,
 		SegmentShards:   len(shards),
 	}
-	coreBuf := bufPool.Get().(*bytes.Buffer)
-	coreBuf.Reset()
-	if err := gob.NewEncoder(coreBuf).Encode(&core); err != nil {
-		bufPool.Put(coreBuf)
+	coreEnc, err := coreCodec.encode(&core)
+	if err != nil {
 		return nil, fmt.Errorf("cria: encoding image core: %w", err)
 	}
-	coreRaw := coreBuf.Bytes()
+	defer coreCodec.encs.put(coreEnc) // out never aliases coreRaw
+	coreRaw := coreEnc.buf.Bytes()
 	nCoreBlocks := (len(coreRaw) + marshalCoreBlockBytes - 1) / marshalCoreBlockBytes
 	if nCoreBlocks == 0 {
 		nCoreBlocks = 1 // gob of a struct is never empty, but keep the format total
@@ -314,18 +507,16 @@ func (img *Image) marshalLocked() ([]byte, error) {
 					continue
 				}
 				shard := shards[i-nCoreBlocks]
-				sb := bufPool.Get().(*bytes.Buffer)
-				sb.Reset()
-				if err := gob.NewEncoder(sb).Encode(shard); err != nil {
+				e, err := shardCodec.encode(&shard)
+				if err != nil {
 					slots[i].err = err
-					bufPool.Put(sb)
 					continue
 				}
 				if digests {
-					slots[i].sum = sha256.Sum256(sb.Bytes())
+					slots[i].sum = sha256.Sum256(e.buf.Bytes())
 				}
-				slots[i].comp, slots[i].err = deflate(sb.Bytes())
-				bufPool.Put(sb)
+				slots[i].comp, slots[i].err = deflate(e.buf.Bytes())
+				shardCodec.encs.put(e)
 			}
 		}()
 	}
@@ -334,7 +525,6 @@ func (img *Image) marshalLocked() ([]byte, error) {
 	}
 	close(jobs)
 	wg.Wait()
-	bufPool.Put(coreBuf) // coreRaw no longer referenced past this point
 
 	out := make([]byte, 0, 4+16+len(img.LogAnchor))
 	magic := marshalMagic
@@ -442,8 +632,12 @@ func Unmarshal(data []byte) (*Image, error) {
 	}
 	rest = rest[n:]
 
+	// Every block inflates into one scratch buffer: the core blocks one
+	// after another, then each shard in turn.
+	scratch, _ := scratchBufs.get()
+	defer func() { scratchBufs.put(scratch[:0]) }()
 	blockIdx := -1
-	nextBlock := func() ([]byte, error) {
+	nextBlock := func(dst []byte) ([]byte, error) {
 		blockIdx++
 		ln, n := binary.Uvarint(rest)
 		if n <= 0 {
@@ -474,26 +668,24 @@ func Unmarshal(data []byte) (*Image, error) {
 		if withCRC && blockChecksum(block) != want {
 			return nil, fmt.Errorf("%w (block %d)", ErrChecksum, blockIdx)
 		}
-		raw, err := inflate(block)
+		raw, err := inflate(dst, block)
 		if err != nil {
 			return nil, err
 		}
-		if withDigest && sha256.Sum256(raw) != wantSum {
+		if withDigest && sha256.Sum256(raw[len(dst):]) != wantSum {
 			return nil, fmt.Errorf("%w (block %d)", ErrDigest, blockIdx)
 		}
 		return raw, nil
 	}
 
-	var coreRaw []byte
+	var err error
 	for i := uint64(0); i < nCore; i++ {
-		raw, err := nextBlock()
-		if err != nil {
+		if scratch, err = nextBlock(scratch); err != nil {
 			return nil, fmt.Errorf("cria: decompressing image core: %w", err)
 		}
-		coreRaw = append(coreRaw, raw...)
 	}
 	var core imageCore
-	if err := gob.NewDecoder(bytes.NewReader(coreRaw)).Decode(&core); err != nil {
+	if err := coreCodec.decode(scratch, &core); err != nil {
 		return nil, fmt.Errorf("cria: decoding image core: %w", err)
 	}
 	if uint64(core.SegmentShards) != nShards {
@@ -514,12 +706,11 @@ func Unmarshal(data []byte) (*Image, error) {
 		HomeVolumeSteps: core.HomeVolumeSteps,
 	}
 	for i := uint64(0); i < nShards; i++ {
-		raw, err := nextBlock()
-		if err != nil {
+		if scratch, err = nextBlock(scratch[:0]); err != nil {
 			return nil, fmt.Errorf("cria: decompressing segment shard %d: %w", i, err)
 		}
 		var shard []kernel.MemSegment
-		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&shard); err != nil {
+		if err := shardCodec.decode(scratch, &shard); err != nil {
 			return nil, fmt.Errorf("cria: decoding segment shard %d: %w", i, err)
 		}
 		img.Segments = append(img.Segments, shard...)
