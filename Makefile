@@ -24,7 +24,8 @@
 #   make trace-demo  run one telemetry-enabled migration and write a
 #                    sample Chrome trace (trace-demo.json) + stage report
 #   make log-verify  seglog smoke: record a log, verify its hash chain
-#                    and anchor, flip one bit, assert detection
+#                    and anchor, flip one bit, assert detection; assert a
+#                    retired v1 (FLXL) file is refused
 #   make perf        host-time benchmark (perfbench): the four workloads
 #                    of BENCHMARK.json, each gated on its virtual outputs
 
@@ -43,7 +44,7 @@ vet:
 # checks over the shipped AIDL catalog plus the layer-3 pass driver's
 # parallel source analyses (wallclock, determinism-taint, maprange,
 # lock-order, durability, wire-drift), with per-pass wall time on
-# stderr. `fluxvet -logs run.flxl -image app.cria` lints a persisted
+# stderr. `fluxvet -logs run.flxg -image app.cria` lints a persisted
 # record log offline; see cmd/fluxvet.
 lint:
 	$(GO) run ./cmd/fluxvet -layers spec,src -timings
@@ -137,6 +138,8 @@ log-verify:
 	$(GO) run ./cmd/fluxtrace -verify /tmp/flux-log-verify.flxg
 	$(GO) run ./cmd/fluxtrace -tamper /tmp/flux-log-verify.flxg
 	! $(GO) run ./cmd/fluxtrace -verify /tmp/flux-log-verify.flxg
+	printf 'FLXL\001' > /tmp/flux-log-verify-v1.flxl
+	! $(GO) run ./cmd/fluxtrace -verify /tmp/flux-log-verify-v1.flxl
 
 # The host-time benchmark declared in BENCHMARK.json, one workload after
 # another at perfbench's default window. Each run prints its end-to-end

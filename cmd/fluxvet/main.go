@@ -29,8 +29,8 @@
 //
 //	fluxvet                               # layers spec,src over the repo
 //	fluxvet -layers spec                  # specs only (no source tree needed)
-//	fluxvet -logs run.flxl                # + lint a persisted record log
-//	fluxvet -logs run.flxl -image app.cria  # + replay-hazard handle checks
+//	fluxvet -logs run.flxg                # + lint a persisted record log
+//	fluxvet -logs run.flxg -image app.cria  # + replay-hazard handle checks
 //	fluxvet -src /path/to/repo            # explicit repo root for src layer
 //	fluxvet -only lock-order,durability   # restrict the src layer's checks
 //	fluxvet -format sarif                 # SARIF 2.1.0 for code-scanning UIs
@@ -56,7 +56,7 @@ import (
 func main() {
 	var (
 		layersFlag = flag.String("layers", "spec,src", "comma-separated layers to run: spec, logs, src")
-		logsPath   = flag.String("logs", "", "persisted record log (.flxl) to lint; implies the logs layer")
+		logsPath   = flag.String("logs", "", "persisted record log (.flxg) to lint; implies the logs layer")
 		imagePath  = flag.String("image", "", "CRIA image whose handle table gates replay-hazard checks (requires -logs)")
 		srcRoot    = flag.String("src", ".", "repository root for the src layer")
 		fullRecord = flag.Bool("fullrecord", false, "log was produced by the full-record ablation: skip unrecorded-entry checks")
@@ -159,7 +159,7 @@ func validateFlags(set map[string]bool, layersFlag, logsPath, format, only, skip
 		opts.layers["logs"] = true
 	}
 	if opts.layers["logs"] && logsPath == "" {
-		return opts, fmt.Errorf("the logs layer needs -logs <file.flxl>")
+		return opts, fmt.Errorf("the logs layer needs -logs <file.flxg>")
 	}
 	if set["image"] && !opts.layers["logs"] {
 		return opts, fmt.Errorf("-image only applies with -logs")

@@ -31,7 +31,7 @@ func TestValidateFlags(t *testing.T) {
 		{name: "defaults", layers: "spec,src", format: "text"},
 		{name: "unknown layer", layers: "spec,web", format: "text", wantErr: `unknown layer "web"`},
 		{name: "logs layer without path", layers: "logs", format: "text", wantErr: "needs -logs"},
-		{name: "logs path implies layer", layers: "spec", logs: "run.flxl", format: "text"},
+		{name: "logs path implies layer", layers: "spec", logs: "run.flxg", format: "text"},
 		{name: "image without logs", set: map[string]bool{"image": true}, layers: "spec,src", format: "text", wantErr: "-image only applies with -logs"},
 		{name: "fullrecord without logs", set: map[string]bool{"fullrecord": true}, layers: "src", format: "text", wantErr: "-fullrecord only applies with -logs"},
 		{name: "bad format", layers: "src", format: "yaml", wantErr: `unknown -format "yaml"`},
@@ -112,7 +112,7 @@ func TestRunLogsEndToEnd(t *testing.T) {
 		Seq: 1, App: "com.app", Interface: itf.Name, Method: m.Name,
 		Code: m.Code, Handle: 7, Data: p.Marshal(),
 	})
-	logPath := filepath.Join(dir, "run.flxl")
+	logPath := filepath.Join(dir, "run.flxg")
 	if err := log.SaveFile(logPath); err != nil {
 		t.Fatal(err)
 	}

@@ -171,7 +171,7 @@ type Options struct {
 	AllowMultiProcess bool
 	// AnchorLog embeds a seglog anchor over the record log in the image
 	// (FXC4 container), so the guest verifies the log before replay. Off
-	// by default: anchor-free images keep their exact legacy wire bytes.
+	// by default: anchor-free images keep their exact FXC2/FXC3 wire bytes.
 	AnchorLog bool
 	// SystemPIDs identifies system-owned processes (system_server, pid 0)
 	// whose unnamed nodes may be replay-restorable.

@@ -1,16 +1,14 @@
 package cria_test
 
 // Robustness tests for cria.Unmarshal: arbitrary truncations and bit
-// flips of FXC2 containers and legacy (gob+flate) streams must return an
-// error or a valid image — never panic. The migration fault model
+// flips of FXC2, FXC3 and FXC4 containers must return an error or a
+// valid image — never panic. The migration fault model
 // deliberately feeds Unmarshal corrupted bytes (chunk corruption on a
 // flaky link), so the decoder's failure mode is part of the recovery
 // contract.
 
 import (
 	"bytes"
-	"compress/flate"
-	"encoding/gob"
 	"errors"
 	"math/rand"
 	"testing"
@@ -18,12 +16,21 @@ import (
 	"flux/internal/android"
 	"flux/internal/cria"
 	"flux/internal/kernel"
+	"flux/internal/seglog"
 )
 
 // fuzzImageBytes builds one valid FXC2 container for mutation.
 func fuzzImageBytes(tb testing.TB) []byte {
 	tb.Helper()
-	img := &cria.Image{
+	data, err := fuzzImage().Marshal()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return bytes.Clone(data)
+}
+
+func fuzzImage() *cria.Image {
+	return &cria.Image{
 		Pkg:  "com.example.fuzz",
 		Spec: android.AppSpec{Package: "com.example.fuzz", Label: "Fuzz"},
 		Segments: []kernel.MemSegment{
@@ -33,48 +40,21 @@ func fuzzImageBytes(tb testing.TB) []byte {
 		Runtime:   android.RuntimeState{SavedState: map[string]string{"a": "1", "b": "2"}},
 		RecordLog: []byte("fuzz-record-log"),
 	}
-	data, err := img.Marshal()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return bytes.Clone(data)
 }
 
-// legacyBytes builds one valid seed-format (gob+flate) stream.
-func legacyBytes(tb testing.TB) []byte {
-	tb.Helper()
-	type legacyImage struct {
-		Pkg       string
-		Segments  []kernel.MemSegment
-		RecordLog []byte
-	}
-	var raw bytes.Buffer
-	if err := gob.NewEncoder(&raw).Encode(&legacyImage{
-		Pkg:       "com.example.legacy",
-		Segments:  []kernel.MemSegment{{Name: "heap", Size: 1 << 16, Entropy: 0.4}},
-		RecordLog: []byte("legacy-log"),
-	}); err != nil {
-		tb.Fatal(err)
-	}
-	var comp bytes.Buffer
-	fw, err := flate.NewWriter(&comp, flate.BestSpeed)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if _, err := fw.Write(raw.Bytes()); err != nil {
-		tb.Fatal(err)
-	}
-	if err := fw.Close(); err != nil {
-		tb.Fatal(err)
-	}
-	return comp.Bytes()
-}
-
-// FuzzUnmarshal: no input may panic the decoder. Valid seeds come from
-// all three container generations; the fuzzer mutates from there.
+// FuzzUnmarshal: no input may panic the decoder. The fuzzer mutates
+// from valid FXC2 and FXC4 (anchor plus digests) containers and a few
+// refusal inputs.
 func FuzzUnmarshal(f *testing.F) {
 	f.Add(fuzzImageBytes(f))
-	f.Add(legacyBytes(f))
+	fxc4 := fuzzImage()
+	fxc4.SetContentDigests(true)
+	fxc4.SetLogAnchor([]byte("fuzz-anchor"))
+	wire, err := fxc4.Marshal()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bytes.Clone(wire))
 	f.Add([]byte{})
 	f.Add([]byte("FXC2"))
 	f.Add([]byte("FXC1"))
@@ -88,14 +68,23 @@ func FuzzUnmarshal(f *testing.F) {
 	})
 }
 
-// TestUnmarshalTruncationsNeverPanic: every prefix of a valid container
-// (and of a legacy stream) errors cleanly. A full container decodes; any
-// strict prefix must fail — the formats are not self-delimiting early.
+// TestUnmarshalTruncationsNeverPanic: every prefix of each live
+// container errors cleanly. A full container decodes; any strict prefix
+// must fail — the formats are not self-delimiting early.
 func TestUnmarshalTruncationsNeverPanic(t *testing.T) {
-	for name, data := range map[string][]byte{
-		"fxc2":   fuzzImageBytes(t),
-		"legacy": legacyBytes(t),
+	fxc3 := fuzzImage()
+	fxc3.SetContentDigests(true)
+	fxc4 := fuzzImage()
+	fxc4.SetLogAnchor([]byte("fuzz-anchor"))
+	for name, img := range map[string]*cria.Image{
+		"fxc2": fuzzImage(),
+		"fxc3": fxc3,
+		"fxc4": fxc4,
 	} {
+		data, err := img.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if _, err := cria.Unmarshal(data); err != nil {
 			t.Fatalf("%s: pristine input failed: %v", name, err)
 		}
@@ -126,9 +115,6 @@ func TestUnmarshalBitFlipsErrorNeverPanic(t *testing.T) {
 		mut[pos] ^= 1 << uint(rng.Intn(8))
 		img, err := cria.Unmarshal(mut)
 		if err == nil {
-			// A flip inside the magic demotes the container to the
-			// legacy path, which must then error — reaching here means
-			// corrupt bytes decoded silently.
 			t.Errorf("bit flip at %d decoded cleanly (img=%v)", pos, img != nil)
 			continue
 		}
@@ -140,12 +126,18 @@ func TestUnmarshalBitFlipsErrorNeverPanic(t *testing.T) {
 		t.Error("no bit flip was caught by the CRC layer; payload coverage looks broken")
 	}
 
-	// Legacy streams have no CRC: flips may or may not error, but must
-	// never panic.
-	leg := legacyBytes(t)
-	for i := 0; i < 200; i++ {
-		mut := bytes.Clone(leg)
-		mut[rng.Intn(len(mut))] ^= 1 << uint(rng.Intn(8))
-		_, _ = cria.Unmarshal(mut)
+	// Every flip inside the magic errors too. Unless it lands on another
+	// live magic (FXC2 -> FXC3), the result names no format this build
+	// decodes.
+	for bit := 0; bit < 32; bit++ {
+		mut := bytes.Clone(data)
+		mut[bit/8] ^= 1 << uint(bit%8)
+		_, err := cria.Unmarshal(mut)
+		switch magic := string(mut[:4]); {
+		case err == nil:
+			t.Errorf("magic flipped to %q decoded cleanly", magic)
+		case magic != "FXC2" && magic != "FXC3" && magic != "FXC4" && !errors.Is(err, seglog.ErrUnsupportedFormat):
+			t.Errorf("magic flipped to %q: err = %v, want ErrUnsupportedFormat", magic, err)
+		}
 	}
 }

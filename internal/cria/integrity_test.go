@@ -1,17 +1,23 @@
 package cria
 
 // White-box integrity tests for the FXC2 container: per-block CRC32
-// verification, legacy-container decoding, and the flate pool's
+// verification, refusal of the retired formats, and the flate pool's
 // error-path hygiene (broken readers must be dropped, never recycled).
 
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"flux/internal/android"
 	"flux/internal/kernel"
+	"flux/internal/record"
+	"flux/internal/seglog"
 )
 
 func integImage() *Image {
@@ -27,15 +33,15 @@ func integImage() *Image {
 	}
 }
 
-// parseContainer splits a marshalled container into its header values
-// and framed blocks ([len][crc?][bytes] triples).
+// parseContainer splits a marshalled FXC2 container into its header
+// values and framed blocks ([len][crc][bytes] triples).
 type containerBlock struct {
 	crc  uint32
 	comp []byte
 	off  int // payload offset within the container bytes
 }
 
-func parseContainer(t *testing.T, data []byte, withCRC bool) (nCore, nShards uint64, blocks []containerBlock) {
+func parseContainer(t *testing.T, data []byte) (nCore, nShards uint64, blocks []containerBlock) {
 	t.Helper()
 	rest := data[len(marshalMagic):]
 	var n int
@@ -58,11 +64,9 @@ func parseContainer(t *testing.T, data []byte, withCRC bool) (nCore, nShards uin
 		rest = rest[n:]
 		off += n
 		var b containerBlock
-		if withCRC {
-			b.crc = binary.LittleEndian.Uint32(rest[:4])
-			rest = rest[4:]
-			off += 4
-		}
+		b.crc = binary.LittleEndian.Uint32(rest[:4])
+		rest = rest[4:]
+		off += 4
 		b.comp = rest[:ln]
 		b.off = off
 		rest = rest[ln:]
@@ -82,7 +86,7 @@ func TestContainerChecksumsPresent(t *testing.T) {
 	if string(data[:4]) != marshalMagic {
 		t.Fatalf("magic = %q, want %q", data[:4], marshalMagic)
 	}
-	nCore, nShards, blocks := parseContainer(t, data, true)
+	nCore, nShards, blocks := parseContainer(t, data)
 	if uint64(len(blocks)) != nCore+nShards {
 		t.Fatalf("%d blocks framed, header promises %d", len(blocks), nCore+nShards)
 	}
@@ -102,7 +106,7 @@ func TestUnmarshalDetectsBitFlip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, blocks := parseContainer(t, data, true)
+	_, _, blocks := parseContainer(t, data)
 	for i, b := range blocks {
 		if len(b.comp) == 0 {
 			continue
@@ -115,37 +119,91 @@ func TestUnmarshalDetectsBitFlip(t *testing.T) {
 	}
 }
 
-// TestUnmarshalFXC1Legacy: a checksum-less FXC1 container (the previous
-// format, reconstructed by stripping the CRCs from an FXC2 image) still
-// decodes to the same image.
-func TestUnmarshalFXC1Legacy(t *testing.T) {
-	img := integImage()
-	data, err := img.Marshal()
+// legacyBytes builds one seed-format image: a single gob stream behind
+// a single DEFLATE stream, with no container magic.
+func legacyBytes(tb testing.TB) []byte {
+	tb.Helper()
+	type legacyImage struct {
+		Pkg       string
+		Segments  []kernel.MemSegment
+		RecordLog []byte
+	}
+	var raw bytes.Buffer
+	if err := gob.NewEncoder(&raw).Encode(&legacyImage{
+		Pkg:       "com.example.legacy",
+		Segments:  []kernel.MemSegment{{Name: "heap", Size: 1 << 16, Entropy: 0.4}},
+		RecordLog: []byte("legacy-log"),
+	}); err != nil {
+		tb.Fatal(err)
+	}
+	comp, err := deflate(raw.Bytes())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return comp
+}
+
+// fxc1Bytes rebuilds the checksum-less FXC1 container by stripping the
+// CRCs from an FXC2 image and relabelling its magic.
+func fxc1Bytes(t *testing.T) []byte {
+	t.Helper()
+	data, err := integImage().Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	nCore, nShards, blocks := parseContainer(t, data, true)
-	legacy := []byte(marshalMagicV1)
-	legacy = binary.AppendUvarint(legacy, nCore)
-	legacy = binary.AppendUvarint(legacy, nShards)
+	nCore, nShards, blocks := parseContainer(t, data)
+	out := []byte("FXC1")
+	out = binary.AppendUvarint(out, nCore)
+	out = binary.AppendUvarint(out, nShards)
 	for _, b := range blocks {
-		legacy = binary.AppendUvarint(legacy, uint64(len(b.comp)))
-		legacy = append(legacy, b.comp...)
+		out = binary.AppendUvarint(out, uint64(len(b.comp)))
+		out = append(out, b.comp...)
 	}
-	got, err := Unmarshal(legacy)
-	if err != nil {
-		t.Fatalf("legacy FXC1 container did not decode: %v", err)
+	return out
+}
+
+// flxlV1File writes the retired v1 whole-blob record log (magic FLXL,
+// version 1, per-app blobs, trailing CRC32) by hand and returns its path.
+func flxlV1File(t *testing.T) string {
+	t.Helper()
+	l := record.NewLog()
+	l.Append(&record.Entry{App: "com.a", Service: "notification", Interface: "INotificationManager", Method: "set", Code: 1, Handle: 2})
+	l.Append(&record.Entry{App: "com.b", Service: "notification", Interface: "INotificationManager", Method: "enqueueNotification", Code: 1, Handle: 2})
+	buf := []byte("FLXL\x01")
+	apps := l.Apps()
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(apps)))
+	for _, app := range apps {
+		blob := l.MarshalApp(app)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(app)))
+		buf = append(buf, app...)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(blob)))
+		buf = append(buf, blob...)
 	}
-	if got.Pkg != img.Pkg || len(got.Segments) != len(img.Segments) ||
-		!bytes.Equal(got.RecordLog, img.RecordLog) {
-		t.Error("legacy decode diverged from the original image")
+	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	path := filepath.Join(t.TempDir(), "legacy.flxl")
+	if err := os.WriteFile(path, buf, 0o600); err != nil {
+		t.Fatal(err)
 	}
-	// A bit flip in a legacy container is NOT caught by checksums (there
-	// are none) but must still surface as an error, not a panic.
-	mut := bytes.Clone(legacy)
-	mut[len(mut)/2] ^= 0x01
-	if _, err := Unmarshal(mut); err == nil {
-		t.Log("legacy bit flip decoded cleanly (possible but unlikely); no checksum protection expected")
+	return path
+}
+
+// TestOldFormatsRefused: the seed gob+flate image, the FXC1 container
+// and the FLXL v1 record log are no longer decoded. Every public decoder
+// that used to accept one refuses it with ErrUnsupportedFormat.
+func TestOldFormatsRefused(t *testing.T) {
+	seed, fxc1, flxl := legacyBytes(t), fxc1Bytes(t), flxlV1File(t)
+	for _, tc := range []struct {
+		name   string
+		decode func() error
+	}{
+		{"seed gob+flate image", func() error { _, err := Unmarshal(seed); return err }},
+		{"FXC1 container", func() error { _, err := Unmarshal(fxc1); return err }},
+		{"FLXL v1 log via LoadFile", func() error { _, err := record.LoadFile(flxl); return err }},
+		{"FLXL v1 log via RecoverFile", func() error { _, _, err := record.RecoverFile(flxl); return err }},
+	} {
+		if err := tc.decode(); !errors.Is(err, seglog.ErrUnsupportedFormat) {
+			t.Errorf("%s: err = %v, want ErrUnsupportedFormat", tc.name, err)
+		}
 	}
 }
 

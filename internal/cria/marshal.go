@@ -37,10 +37,10 @@ package cria
 // DEFLATE or gob error deep in the decode — the migration fault-recovery
 // path relies on this to re-request exactly the corrupt chunk.
 //
-// Unmarshal transparently decodes the two legacy formats: FXC1
-// containers (the checksum-less predecessor) and the seed's single
-// gob+flate stream. A legacy stream can never start with either magic
-// (its first byte would decode as an invalid DEFLATE block type).
+// Unmarshal decodes exactly the containers Marshal writes (FXC2, FXC3,
+// FXC4); any other magic — the checksum-less FXC1 predecessor, the
+// seed's single gob+flate stream — is refused with an error wrapping
+// seglog.ErrUnsupportedFormat.
 
 import (
 	"bytes"
@@ -60,15 +60,13 @@ import (
 
 	"flux/internal/android"
 	"flux/internal/kernel"
+	"flux/internal/seglog"
 )
 
 const (
 	// marshalMagic tags the default chunk-parallel container format:
 	// per-block CRC32 checksums between each block length and its bytes.
 	marshalMagic = "FXC2"
-	// marshalMagicV1 tags the checksum-less predecessor container;
-	// still decoded, never produced.
-	marshalMagicV1 = "FXC1" //fluxvet:allow wire-drift — legacy decode-only format: Unmarshal accepts it, nothing encodes it anymore
 	// marshalMagicV3 tags the content-addressed container revision: each
 	// block carries, after its CRC32, a SHA-256 digest of the block's
 	// UNCOMPRESSED bytes. The digest is the block's content identity for
@@ -83,7 +81,7 @@ const (
 	// digests), a uvarint-length-prefixed record-log anchor (seglog wire
 	// form, self-checksummed), then the FXC2/FXC3 block layout. Produced
 	// only when the image carries a LogAnchor, so anchor-free images
-	// keep their exact legacy wire bytes.
+	// keep their exact FXC2/FXC3 wire bytes.
 	marshalMagicV4 = "FXC4"
 	// marshalCoreBlockBytes is the raw gob bytes per parallel-compressed
 	// core block. Fixed (not GOMAXPROCS-derived) so the container bytes
@@ -584,18 +582,22 @@ var ErrDigest = errors.New("cria: image block content digest mismatch")
 
 // Unmarshal decodes an image produced by Marshal, verifying every
 // container block's CRC32 before inflating (checksum mismatches return
-// an error wrapping ErrChecksum) and, for FXC3 containers, the SHA-256
-// content digest after inflating (mismatches wrap ErrDigest). The legacy
-// formats — FXC2, FXC1 containers and the seed's single gob+flate
-// stream — are still accepted.
+// an error wrapping ErrChecksum) and, for FXC3 containers and FXC4
+// containers flagged for digests, the SHA-256 content digest after
+// inflating (mismatches wrap ErrDigest). Any magic other than FXC2,
+// FXC3 or FXC4 returns an error wrapping seglog.ErrUnsupportedFormat.
 func Unmarshal(data []byte) (*Image, error) {
-	var withCRC, withDigest bool
+	if len(data) < len(marshalMagic) {
+		return nil, fmt.Errorf("cria: truncated image header (%d bytes)", len(data))
+	}
+	var withDigest bool
 	var anchor []byte
-	rest := data
-	switch {
-	case len(data) >= len(marshalMagicV4) && string(data[:len(marshalMagicV4)]) == marshalMagicV4:
-		withCRC = true
-		rest = data[len(marshalMagicV4):]
+	rest := data[len(marshalMagic):]
+	switch string(data[:len(marshalMagic)]) {
+	case marshalMagic:
+	case marshalMagicV3:
+		withDigest = true
+	case marshalMagicV4:
 		flags, n := binary.Uvarint(rest)
 		if n <= 0 {
 			return nil, fmt.Errorf("cria: corrupt image header (anchor flags)")
@@ -609,17 +611,8 @@ func Unmarshal(data []byte) (*Image, error) {
 		rest = rest[n:]
 		anchor = append([]byte(nil), rest[:alen]...)
 		rest = rest[alen:]
-	case len(data) >= len(marshalMagicV3) && string(data[:len(marshalMagicV3)]) == marshalMagicV3:
-		withCRC, withDigest = true, true
-		rest = data[len(marshalMagicV3):]
-	case len(data) >= len(marshalMagic) && string(data[:len(marshalMagic)]) == marshalMagic:
-		withCRC = true
-		rest = data[len(marshalMagic):]
-	case len(data) >= len(marshalMagicV1) && string(data[:len(marshalMagicV1)]) == marshalMagicV1:
-		withCRC = false
-		rest = data[len(marshalMagicV1):]
 	default:
-		return unmarshalLegacy(data)
+		return nil, fmt.Errorf("cria: image magic %q: %w", data[:len(marshalMagic)], seglog.ErrUnsupportedFormat)
 	}
 	nCore, n := binary.Uvarint(rest)
 	if n <= 0 {
@@ -644,14 +637,11 @@ func Unmarshal(data []byte) (*Image, error) {
 			return nil, fmt.Errorf("cria: corrupt image block length")
 		}
 		rest = rest[n:]
-		var want uint32
-		if withCRC {
-			if len(rest) < 4 {
-				return nil, fmt.Errorf("cria: truncated image block checksum")
-			}
-			want = binary.LittleEndian.Uint32(rest[:4])
-			rest = rest[4:]
+		if len(rest) < 4 {
+			return nil, fmt.Errorf("cria: truncated image block checksum")
 		}
+		want := binary.LittleEndian.Uint32(rest[:4])
+		rest = rest[4:]
 		var wantSum [sha256.Size]byte
 		if withDigest {
 			if len(rest) < sha256.Size {
@@ -665,7 +655,7 @@ func Unmarshal(data []byte) (*Image, error) {
 		}
 		block := rest[:ln]
 		rest = rest[ln:]
-		if withCRC && blockChecksum(block) != want {
+		if blockChecksum(block) != want {
 			return nil, fmt.Errorf("%w (block %d)", ErrChecksum, blockIdx)
 		}
 		raw, err := inflate(dst, block)
@@ -716,23 +706,6 @@ func Unmarshal(data []byte) (*Image, error) {
 		img.Segments = append(img.Segments, shard...)
 	}
 	return img, nil
-}
-
-// unmarshalLegacy decodes the seed's single-stream gob+flate format.
-func unmarshalLegacy(data []byte) (*Image, error) {
-	r := flate.NewReader(bytes.NewReader(data))
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("cria: decompressing image: %w", err)
-	}
-	if err := r.Close(); err != nil {
-		return nil, err
-	}
-	var img Image
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&img); err != nil {
-		return nil, fmt.Errorf("cria: decoding image: %w", err)
-	}
-	return &img, nil
 }
 
 // WireBytes is the image's total transfer size: compressed metadata +

@@ -30,6 +30,8 @@ import (
 	"fmt"
 	"os"
 	"strings"
+
+	"flux/internal/yamlite"
 )
 
 // SpecSchemaVersion versions the experiment-spec layout.
@@ -108,7 +110,7 @@ func DefaultCriteria() Criteria {
 
 // Spec is one declarative experiment: what to run, how wide to sweep,
 // and what counts as success. Specs are plain data — YAML (the subset
-// parseYAML accepts), JSON, or a Go literal — and hash canonically, so a
+// yamlite.Parse accepts), JSON, or a Go literal — and hash canonically, so a
 // trajectory record can prove which experiment produced it.
 type Spec struct {
 	// Schema versions the spec layout.
@@ -296,7 +298,7 @@ func ParseSpec(data []byte) (Spec, error) {
 			return Spec{}, fmt.Errorf("lab: parsing JSON spec: %w", err)
 		}
 	} else {
-		doc, err := parseYAML(data)
+		doc, err := yamlite.Parse(data, "lab: spec")
 		if err != nil {
 			return Spec{}, err
 		}

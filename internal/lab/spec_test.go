@@ -111,3 +111,26 @@ func TestShippedSpecsParse(t *testing.T) {
 		}
 	}
 }
+
+// TestParseSpecErrorStrings pins the exact YAML spec diagnostics: parse
+// errors carry "lab: spec line N", decode errors "lab: spec key K".
+func TestParseSpecErrorStrings(t *testing.T) {
+	cases := []struct {
+		name, src, want string
+	}{
+		{"parse error", "name: x\nscenario: matrix\nsweep:\n  workers: [1, 2", `lab: spec line 4: unterminated list "[1, 2"`},
+		{"bad int", "name: x\nscenario: matrix\nseed: seven", `lab: spec key seed: "seven" is not an integer`},
+		{"bad float list", "name: x\nscenario: faults\nsweep:\n  fault_rates: [0.1, high]", `lab: spec key sweep.fault_rates: "high" is not a number`},
+		{"unknown key", "name: x\nscenario: matrix\nbogus: 1", `lab: spec key "bogus" is not part of the spec schema`},
+		{"unknown sweep key", "name: x\nscenario: matrix\nsweep:\n  cadence: [1]", `lab: spec key sweep.cadence is not a sweep axis`},
+		{"unknown criteria key", "name: x\nscenario: matrix\ncriteria:\n  max_wat: 1", `lab: spec key criteria.max_wat is not a criterion`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := ParseSpec([]byte(tc.src))
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("error = %v, want %q", err, tc.want)
+			}
+		})
+	}
+}

@@ -2,10 +2,9 @@ package lab
 
 // Spec parsing rides on internal/yamlite, the shared YAML-subset parser
 // (extracted from this package once fluxfleet grew a second declarative
-// spec surface). The wrappers below pin the error vocabulary this
-// package has always used — "lab: spec line %d: ..." for parse errors,
-// "lab: spec key %s: ..." for decode errors — so spec diagnostics are
-// byte-identical across the extraction.
+// spec surface). Its labels keep the error vocabulary this package has
+// always used — "lab: spec line %d: ..." for parse errors, "lab: spec
+// key %s: ..." for decode errors (pinned by TestParseSpecErrorStrings).
 
 import (
 	"fmt"
@@ -13,71 +12,36 @@ import (
 	"flux/internal/yamlite"
 )
 
-type yamlValue = yamlite.Value
-
-type yamlMap = yamlite.Map
-
-func parseYAML(data []byte) (yamlMap, error) {
-	return yamlite.Parse(data, "lab: spec")
-}
-
-func sortedKeys(m yamlMap) []string {
-	return yamlite.SortedKeys(m)
-}
-
-func yamlString(v yamlValue, key string) (string, error) {
-	return yamlite.String(v, "lab: spec key "+key)
-}
-
-func yamlInt(v yamlValue, key string) (int, error) {
-	return yamlite.Int(v, "lab: spec key "+key)
-}
-
-func yamlFloat(v yamlValue, key string) (float64, error) {
-	return yamlite.Float(v, "lab: spec key "+key)
-}
-
-func yamlIntList(v yamlValue, key string) ([]int, error) {
-	return yamlite.IntList(v, "lab: spec key "+key)
-}
-
-func yamlFloatList(v yamlValue, key string) ([]float64, error) {
-	return yamlite.FloatList(v, "lab: spec key "+key)
-}
-
-func yamlBoolList(v yamlValue, key string) ([]bool, error) {
-	return yamlite.BoolList(v, "lab: spec key "+key)
-}
-
 // decodeSpec maps a parsed document onto Spec, rejecting unknown keys so
 // typos surface instead of silently no-oping.
-func decodeSpec(doc yamlMap, s *Spec) error {
-	for _, key := range sortedKeys(doc) {
+func decodeSpec(doc yamlite.Map, s *Spec) error {
+	for _, key := range yamlite.SortedKeys(doc) {
 		v := doc[key]
+		label := "lab: spec key " + key
 		var err error
 		switch key {
 		case "schema":
-			s.Schema, err = yamlInt(v, key)
+			s.Schema, err = yamlite.Int(v, label)
 		case "name":
-			s.Name, err = yamlString(v, key)
+			s.Name, err = yamlite.String(v, label)
 		case "scenario":
-			s.Scenario, err = yamlString(v, key)
+			s.Scenario, err = yamlite.String(v, label)
 		case "seed":
 			var n int
-			n, err = yamlInt(v, key)
+			n, err = yamlite.Int(v, label)
 			s.Seed = int64(n)
 		case "repetitions":
-			s.Repetitions, err = yamlInt(v, key)
+			s.Repetitions, err = yamlite.Int(v, label)
 		case "counterfactual_k":
-			s.CounterfactualK, err = yamlInt(v, key)
+			s.CounterfactualK, err = yamlite.Int(v, label)
 		case "sweep":
 			if !v.IsMap {
-				return fmt.Errorf("lab: spec key sweep: expected a nested block")
+				return fmt.Errorf("%s: expected a nested block", label)
 			}
 			err = decodeSweep(v.Child, &s.Sweep)
 		case "criteria":
 			if !v.IsMap {
-				return fmt.Errorf("lab: spec key criteria: expected a nested block")
+				return fmt.Errorf("%s: expected a nested block", label)
 			}
 			err = decodeCriteria(v.Child, &s.Criteria)
 		default:
@@ -90,33 +54,34 @@ func decodeSpec(doc yamlMap, s *Spec) error {
 	return nil
 }
 
-func decodeSweep(doc yamlMap, sw *Sweep) error {
-	for _, key := range sortedKeys(doc) {
+func decodeSweep(doc yamlite.Map, sw *Sweep) error {
+	for _, key := range yamlite.SortedKeys(doc) {
 		v := doc[key]
+		label := "lab: spec key sweep." + key
 		var err error
 		switch key {
 		case "workers":
-			sw.Workers, err = yamlIntList(v, "sweep."+key)
+			sw.Workers, err = yamlite.IntList(v, label)
 		case "pipelined":
-			sw.Pipelined, err = yamlBoolList(v, "sweep."+key)
+			sw.Pipelined, err = yamlite.BoolList(v, label)
 		case "fault_rates":
-			sw.FaultRates, err = yamlFloatList(v, "sweep."+key)
+			sw.FaultRates, err = yamlite.FloatList(v, label)
 		case "dirty_fracs":
-			sw.DirtyFracs, err = yamlFloatList(v, "sweep."+key)
+			sw.DirtyFracs, err = yamlite.FloatList(v, label)
 		case "cache_budgets":
 			var ints []int
-			ints, err = yamlIntList(v, "sweep."+key)
+			ints, err = yamlite.IntList(v, label)
 			for _, n := range ints {
 				sw.CacheBudgets = append(sw.CacheBudgets, int64(n))
 			}
 		case "round_trips":
-			sw.RoundTrips, err = yamlInt(v, "sweep."+key)
+			sw.RoundTrips, err = yamlite.Int(v, label)
 		case "fleet_devices":
-			sw.FleetDevices, err = yamlIntList(v, "sweep."+key)
+			sw.FleetDevices, err = yamlite.IntList(v, label)
 		case "fleet_migrations":
-			sw.FleetMigrations, err = yamlInt(v, "sweep."+key)
+			sw.FleetMigrations, err = yamlite.Int(v, label)
 		default:
-			return fmt.Errorf("lab: spec key sweep.%s is not a sweep axis", key)
+			return fmt.Errorf("%s is not a sweep axis", label)
 		}
 		if err != nil {
 			return err
@@ -125,25 +90,26 @@ func decodeSweep(doc yamlMap, sw *Sweep) error {
 	return nil
 }
 
-func decodeCriteria(doc yamlMap, c *Criteria) error {
-	for _, key := range sortedKeys(doc) {
+func decodeCriteria(doc yamlite.Map, c *Criteria) error {
+	for _, key := range yamlite.SortedKeys(doc) {
 		v := doc[key]
+		label := "lab: spec key criteria." + key
 		var err error
 		switch key {
 		case "max_stage_mape_pct":
-			c.MaxStageMAPEPct, err = yamlFloat(v, "criteria."+key)
+			c.MaxStageMAPEPct, err = yamlite.Float(v, label)
 		case "max_bytes_mape_pct":
-			c.MaxBytesMAPEPct, err = yamlFloat(v, "criteria."+key)
+			c.MaxBytesMAPEPct, err = yamlite.Float(v, label)
 		case "min_pearson_r":
-			c.MinPearsonR, err = yamlFloat(v, "criteria."+key)
+			c.MinPearsonR, err = yamlite.Float(v, label)
 		case "max_headline_mape_pct":
-			c.MaxHeadlineMAPEPct, err = yamlFloat(v, "criteria."+key)
+			c.MaxHeadlineMAPEPct, err = yamlite.Float(v, label)
 		case "min_recovery_pct":
-			c.MinRecoveryPct, err = yamlFloat(v, "criteria."+key)
+			c.MinRecoveryPct, err = yamlite.Float(v, label)
 		case "diff_tolerance_pct":
-			c.DiffTolerancePct, err = yamlFloat(v, "criteria."+key)
+			c.DiffTolerancePct, err = yamlite.Float(v, label)
 		default:
-			return fmt.Errorf("lab: spec key criteria.%s is not a criterion", key)
+			return fmt.Errorf("%s is not a criterion", label)
 		}
 		if err != nil {
 			return err

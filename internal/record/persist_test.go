@@ -2,8 +2,6 @@ package record
 
 import (
 	"bytes"
-	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -31,7 +29,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	l.Append(sampleEntry("com.b", "cancelNotification", 9))
 
-	path := filepath.Join(t.TempDir(), "record.flxl")
+	path := filepath.Join(t.TempDir(), "record.flxg")
 	if err := l.SaveFile(path); err != nil {
 		t.Fatalf("SaveFile: %v", err)
 	}
@@ -61,7 +59,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestLoadFileRejectsCorruption(t *testing.T) {
 	l := NewLog()
 	l.Append(sampleEntry("com.a", "m", 1))
-	path := filepath.Join(t.TempDir(), "record.flxl")
+	path := filepath.Join(t.TempDir(), "record.flxg")
 	if err := l.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -89,39 +87,6 @@ func TestLoadFileRejectsJunk(t *testing.T) {
 	}
 	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Error("LoadFile accepted missing file")
-	}
-}
-
-// TestLoadFileReadsLegacyV1 pins the migration story: files written by
-// the pre-seglog container must keep loading.
-func TestLoadFileReadsLegacyV1(t *testing.T) {
-	l := NewLog()
-	l.Append(sampleEntry("com.a", "set", 1))
-	l.Append(sampleEntry("com.b", "enqueueNotification", 2))
-	// Re-create the v1 container by hand (SaveFile now writes v2).
-	var buf []byte
-	buf = append(buf, logFileMagic[:]...)
-	buf = append(buf, logFileVersion)
-	apps := l.Apps()
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(apps)))
-	for _, app := range apps {
-		blob := l.MarshalApp(app)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(app)))
-		buf = append(buf, app...)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(blob)))
-		buf = append(buf, blob...)
-	}
-	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	path := filepath.Join(t.TempDir(), "legacy.flxl")
-	if err := os.WriteFile(path, buf, 0o600); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadFile(path)
-	if err != nil {
-		t.Fatalf("LoadFile(v1): %v", err)
-	}
-	if back.Len() != 2 {
-		t.Errorf("legacy load has %d entries, want 2", back.Len())
 	}
 }
 
@@ -162,7 +127,7 @@ func TestRecoverFileHealsTornTail(t *testing.T) {
 }
 
 func TestSaveFileEmptyLog(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "empty.flxl")
+	path := filepath.Join(t.TempDir(), "empty.flxg")
 	if err := NewLog().SaveFile(path); err != nil {
 		t.Fatal(err)
 	}

@@ -48,8 +48,8 @@ import (
 )
 
 const (
-	// Magic tags a seglog stream. record.LoadFile dispatches on it to
-	// tell a segmented log from the legacy FLXL blob.
+	// Magic tags a seglog stream. Any other magic is refused with
+	// ErrUnsupportedFormat.
 	Magic = "FLXG"
 	// Version is the stream format version.
 	Version = 1
@@ -81,6 +81,12 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // bytes it claims to cover. Crashes cannot produce this (they tear
 // frames, which fail CRC); tampering or bit rot can.
 var ErrTampered = errors.New("seglog: content does not match its hashes")
+
+// ErrUnsupportedFormat reports input whose magic or version names no
+// format this build decodes, such as the retired FLXL record log or a
+// CRIA image other than FXC2–FXC4. Nothing that writes those formats
+// remains, so they are refused rather than read without tamper evidence.
+var ErrUnsupportedFormat = errors.New("unsupported format")
 
 // ErrTruncated reports a stream that ends mid-frame (or mid-header).
 // Load refuses it; Recover heals it by dropping the torn tail.
@@ -395,10 +401,10 @@ func parse(data []byte, segLeaves int, strict bool) (*Log, Recovery, error) {
 		return nil, rec, fmt.Errorf("%w: header incomplete", ErrTruncated)
 	}
 	if string(data[:len(Magic)]) != Magic {
-		return nil, rec, fmt.Errorf("seglog: bad magic %q", data[:len(Magic)])
+		return nil, rec, fmt.Errorf("seglog: bad magic %q: %w", data[:len(Magic)], ErrUnsupportedFormat)
 	}
 	if data[len(Magic)] != Version {
-		return nil, rec, fmt.Errorf("seglog: unsupported version %d", data[len(Magic)])
+		return nil, rec, fmt.Errorf("seglog: unsupported version %d: %w", data[len(Magic)], ErrUnsupportedFormat)
 	}
 	l := New(segLeaves)
 	// Decoding replays the stream through the same state machine that

@@ -421,6 +421,26 @@ func TestLoadRejectsTrailingGarbage(t *testing.T) {
 	}
 }
 
+// TestUnknownFormatRefused: a foreign magic or an unknown version is
+// refused by both Load and Recover with ErrUnsupportedFormat, not healed
+// as a torn tail.
+func TestUnknownFormatRefused(t *testing.T) {
+	data := buildLog(t, 3, 4).Marshal()
+	badVersion := bytes.Clone(data)
+	badVersion[len(Magic)]++
+	for name, in := range map[string][]byte{
+		"FLXL v1":     append([]byte("FLXL\x01"), data[headerSize:]...),
+		"bad version": badVersion,
+	} {
+		if _, err := Load(in, 4); !errors.Is(err, ErrUnsupportedFormat) {
+			t.Errorf("%s: Load err = %v, want ErrUnsupportedFormat", name, err)
+		}
+		if _, _, err := Recover(in, 4); !errors.Is(err, ErrUnsupportedFormat) {
+			t.Errorf("%s: Recover err = %v, want ErrUnsupportedFormat", name, err)
+		}
+	}
+}
+
 func TestParseAnchorRejectsOversizedCount(t *testing.T) {
 	a := Anchor{Version: Version, Leaves: 1}
 	w := a.Marshal()

@@ -1,6 +1,10 @@
 package vet
 
 import (
+	"encoding/binary"
+	"hash/crc32"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -188,5 +192,38 @@ func TestLintLogWholeLog(t *testing.T) {
 	got := findAll(fs, "log-unknown")
 	if len(got) != 1 || got[0].File != "log:com.other" {
 		t.Fatalf("want one log-unknown in com.other's slice, got %v", fs)
+	}
+}
+
+// TestLintLogFileRefusesV1: the retired FLXL v1 whole-blob container is
+// no longer read. LintLogFile reports one log-integrity error and lints
+// nothing, although the log holds an entry LintLog would flag.
+func TestLintLogFileRefusesV1(t *testing.T) {
+	l := record.NewLog()
+	l.Append(&record.Entry{Seq: 1, App: "com.other", Interface: "IGhost", Method: "boo", Code: 1})
+	buf := []byte("FLXL\x01")
+	buf = binary.BigEndian.AppendUint32(buf, 1)
+	blob := l.MarshalApp("com.other")
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len("com.other")))
+	buf = append(buf, "com.other"...)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(blob)))
+	buf = append(buf, blob...)
+	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+	path := filepath.Join(t.TempDir(), "legacy.flxl")
+	if err := os.WriteFile(path, buf, 0o600); err != nil {
+		t.Fatal(err)
+	}
+
+	itf := aidl.MustParse(notifSrc)
+	fs, err := LintLogFile(path, map[string]*aidl.Interface{itf.Name: itf}, LogLintOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fs) != 1 || fs[0].Check != "log-integrity" || fs[0].Severity != Error ||
+		!strings.Contains(fs[0].Message, "unsupported format") {
+		t.Fatalf("want exactly one log-integrity error, got %v", fs)
+	}
+	if _, err := LintLogFile(filepath.Join(t.TempDir(), "missing"), nil, LogLintOptions{}); err == nil {
+		t.Error("missing file returned no error")
 	}
 }

@@ -46,7 +46,7 @@ import (
 //	                     sequences that bypass atomicio.WriteFile
 //	                     (pass_durability.go).
 //	wire-drift         — cross-package consistency of the wire magics
-//	                     (FXC1–FXC4, FLXG, FLXA), header sizes,
+//	                     (FXC2–FXC4, FLXG, FLXA), header sizes,
 //	                     length-guard caps, and faults.Site coverage
 //	                     (pass_wiredrift.go).
 //
